@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from typing import Any
 
-import networkx as nx
-
 from repro.errors import BindingError, ComponentError, DeploymentError
+from repro.graph import DiGraph
 from repro.kernel.binding import Binding, bind
 from repro.kernel.component import Component, Invocable
 from repro.kernel.container import Container
@@ -137,10 +136,10 @@ class Assembly:
 
     # -- introspection -----------------------------------------------------------
 
-    def architecture_graph(self) -> nx.DiGraph:
+    def architecture_graph(self) -> DiGraph:
         """Directed graph: component/connector nodes, binding/attachment
         edges — the structural view consistency checks run on."""
-        graph = nx.DiGraph()
+        graph = DiGraph()
         for component in self.registry:
             graph.add_node(component.name, kind="component",
                            node=component.node_name,

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Sequence
 
-import networkx as nx
-
 from repro.errors import ChainOrderError, MetaObjectError
+from repro.graph import (
+    DiGraph,
+    descendants,
+    find_cycle,
+    lexicographic_topological_sort,
+)
 from repro.kernel.component import Invocation
 from repro.metaobjects.metaobject import MetaObject
 
@@ -72,30 +76,28 @@ def order(metaobjects: Sequence[MetaObject],
     """
     validate(metaobjects)
     by_name = {m.name: m for m in metaobjects}
-    graph = nx.DiGraph()
-    graph.add_nodes_from(by_name)
+    graph = DiGraph()
+    for name in by_name:
+        graph.add_node(name)
     for metaobject in metaobjects:
         for later in metaobject.must_precede:
             graph.add_edge(metaobject.name, later)
         for earlier in metaobject.must_follow:
             graph.add_edge(earlier, metaobject.name)
 
-    try:
-        cycles = list(nx.find_cycle(graph))
-    except nx.NetworkXNoCycle:
-        cycles = []
-    if cycles:
-        path = " -> ".join(edge[0] for edge in cycles) + f" -> {cycles[0][0]}"
+    cycle = find_cycle(graph)
+    if cycle is not None:
+        path = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[0][0]}"
         raise ChainOrderError(f"ordering constraints form a cycle: {path}")
 
     if strict_modificatory:
-        closure = nx.transitive_closure(graph)
         modificatory = [m for m in metaobjects if m.modificatory]
+        reach = {m.name: descendants(graph, m.name) for m in modificatory}
         for i, first in enumerate(modificatory):
             for second in modificatory[i + 1:]:
                 related = (
-                    closure.has_edge(first.name, second.name)
-                    or closure.has_edge(second.name, first.name)
+                    second.name in reach[first.name]
+                    or first.name in reach[second.name]
                     or first.priority != second.priority
                 )
                 if not related:
@@ -111,7 +113,7 @@ def order(metaobjects: Sequence[MetaObject],
         metaobject = by_name[name]
         return (-metaobject.priority, declaration_index[name])
 
-    ordered_names = list(nx.lexicographical_topological_sort(graph, key=sort_key))
+    ordered_names = lexicographic_topological_sort(graph, key=sort_key)
     return [by_name[name] for name in ordered_names]
 
 

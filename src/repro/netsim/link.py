@@ -20,10 +20,14 @@ class Link:
 
     ``__slots__``: links scale with topology size, so they keep no
     per-instance dict.
+
+    ``network`` is the :class:`~repro.netsim.network.Network` the link is
+    registered with (set by ``Network.add_link``): a latency change tells
+    it that its routes may be stale.
     """
 
     __slots__ = (
-        "a", "b", "latency", "bandwidth", "loss", "up",
+        "a", "b", "latency", "bandwidth", "loss", "up", "network",
         "transferred_bytes", "transferred_messages", "dropped_messages",
     )
 
@@ -45,6 +49,7 @@ class Link:
         self.bandwidth = bandwidth
         self.loss = min(max(loss, 0.0), 1.0)
         self.up = True
+        self.network = None
         self.transferred_bytes = 0
         self.transferred_messages = 0
         self.dropped_messages = 0
@@ -81,6 +86,8 @@ class Link:
         if latency is not None:
             if latency < 0:
                 raise LinkDownError(f"link latency must be >= 0, got {latency}")
+            if latency != self.latency and self.network is not None:
+                self.network.invalidate_routes()
             self.latency = latency
         if bandwidth is not None:
             if bandwidth <= 0:

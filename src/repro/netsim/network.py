@@ -11,15 +11,21 @@ from __future__ import annotations
 
 import random
 import sys
+from array import array
+from heapq import heappop, heappush
 from typing import Callable, Iterable
-
-import networkx as nx
 
 from repro.errors import LinkDownError, NetworkError, NodeDownError
 from repro.events import Simulator
 from repro.netsim.link import Link
 from repro.netsim.message import Message
 from repro.netsim.node import Node
+
+_INF = float("inf")
+#: Shortest-path trees kept per network; the least recently used tree
+#: beyond this is evicted, so tree columns never hold more than
+#: ``_MAX_TREES`` entries per node.
+_MAX_TREES = 64
 
 
 class NetworkStats:
@@ -61,8 +67,10 @@ class NetworkStats:
 class Network:
     """A topology of nodes and links with latency-aware routing.
 
-    Routes are shortest paths by current link latency, recomputed lazily
-    whenever the topology or link states change.
+    Routes are shortest paths by current link latency.  Routing state is
+    brought up to date lazily, on the first lookup after the topology or
+    link states change: shortest-path trees already built are repaired
+    in place rather than thrown away (see DESIGN.md, "Routing").
     """
 
     def __init__(self, sim: Simulator, seed: int = 0) -> None:
@@ -72,10 +80,22 @@ class Network:
         self.links: dict[tuple[str, str], Link] = {}
         self.stats = NetworkStats()
         self._graph_dirty = True
-        self._graph = nx.Graph()
-        # Shortest-path cache, invalidated with the graph: message
+        # Router: nodes get integer ids; ``_adj[id]`` maps neighbour id
+        # to latency over the links that were live at the last repair,
+        # and ``_live`` is that snapshot (link key -> latency).
+        self._index: dict[str, int] = {}
+        self._names: list[str] = []
+        self._adj: list[dict[int, float]] = []
+        self._live: dict[tuple[str, str], float] = {}
+        # One shortest-path tree per root, as ``(dist, parent)`` columns
+        # indexed by node id (parent -1: root or unreached), in
+        # least-recently-used order.
+        self._trees: dict[int, tuple[array, array]] = {}
+        #: Trees built from scratch (repairs do not count).
+        self.tree_builds = 0
+        # Shortest-path cache, cleared with every repair: message
         # delivery is a per-event caller, so repeated sends between the
-        # same pair must not pay Dijkstra every time.  ``None`` caches a
+        # same pair must not even walk a tree.  ``None`` caches a
         # negative result (no route) until the topology changes.
         self._route_cache: dict[tuple[str, str], list[str] | None] = {}
         # Path intern table: distinct (source, destination) pairs whose
@@ -104,6 +124,9 @@ class Network:
         name = sys.intern(name)
         node = Node(name, self.sim, capacity=capacity, region=region)
         self.nodes[name] = node
+        self._index[name] = len(self._names)
+        self._names.append(name)
+        self._adj.append({})
         self._graph_dirty = True
         return node
 
@@ -125,6 +148,7 @@ class Network:
         if link.key in self.links:
             raise NetworkError(f"link {link.key} already exists")
         self.links[link.key] = link
+        link.network = self
         self._graph_dirty = True
         return link
 
@@ -139,6 +163,7 @@ class Network:
             link = self.links.pop(key)
         except KeyError:
             raise LinkDownError(f"no link between {a!r} and {b!r}") from None
+        link.network = None
         self._graph_dirty = True
         return link
 
@@ -159,18 +184,164 @@ class Network:
         """Force route recomputation (call after link failures/repairs)."""
         self._graph_dirty = True
 
+    # -- routing ------------------------------------------------------------
+
     def _rebuild_graph(self) -> None:
-        graph = nx.Graph()
-        for name, node in self.nodes.items():
-            if node.up:
-                graph.add_node(name)
-        for link in self.links.values():
-            if link.up and link.a in graph and link.b in graph:
-                graph.add_edge(link.a, link.b, weight=link.latency)
-        self._graph = graph
+        """Bring routing up to date: the once-per-dirty-epoch repair step.
+
+        Diffs the live links (link up, both ends up) against the last
+        snapshot.  Removed links, and links whose latency rose, cut the
+        subtree below them out of every tree that used them; the cut
+        nodes are re-reached by Dijkstra from the cut's boundary.  Added
+        links, and links whose latency fell, propagate the improvement
+        from the endpoint that got closer.  Trees a change does not touch
+        are kept as they are.
+        """
+        nodes = self.nodes
+        live = {
+            key: link.latency
+            for key, link in self.links.items()
+            if link.up and nodes[link.a].up and nodes[link.b].up
+        }
+        old = self._live
+        index = self._index
+        adj = self._adj
+        trees = self._trees
+        size = len(self._names)
+        for dist, parent in trees.values():
+            if len(dist) < size:
+                grow = size - len(dist)
+                dist.extend(array("d", [_INF]) * grow)
+                parent.extend(array("i", [-1]) * grow)
+        cut = []
+        for key, latency in old.items():
+            now = live.get(key)
+            if now is None or now > latency:
+                a, b = index[key[0]], index[key[1]]
+                del adj[a][b], adj[b][a]
+                cut.append((a, b))
+        if cut:
+            for dist, parent in trees.values():
+                self._repair_cut(dist, parent, cut)
+        joined = []
+        for key, latency in live.items():
+            if old.get(key) != latency:
+                a, b = index[key[0]], index[key[1]]
+                adj[a][b] = adj[b][a] = latency
+                joined.append((a, b, latency))
+        if joined:
+            for dist, parent in trees.values():
+                self._repair_join(dist, parent, joined)
+        self._live = live
         self._graph_dirty = False
         self._route_cache.clear()
         self._path_intern.clear()
+
+    def _repair_cut(self, dist: array, parent: array,
+                    cut: list[tuple[int, int]]) -> None:
+        """Re-reach the subtrees hanging below the removed tree edges."""
+        subtree = [
+            b if parent[b] == a else a
+            for a, b in cut
+            if parent[b] == a or parent[a] == b
+        ]
+        if not subtree:
+            return
+        adj = self._adj
+        for v in subtree:
+            dist[v] = _INF
+        # The cut subtrees, root to leaves: a child keeps its tree edge
+        # (removed edges made their child a cut root above).
+        for v in subtree:
+            for w in adj[v]:
+                if parent[w] == v:
+                    dist[w] = _INF
+                    subtree.append(w)
+        heap = []
+        for v in subtree:
+            parent[v] = -1
+            best = _INF
+            for u, latency in adj[v].items():
+                candidate = dist[u] + latency
+                if candidate < best:
+                    best = candidate
+                    parent[v] = u
+            if best < _INF:
+                dist[v] = best
+                heappush(heap, (best, v))
+        self._settle(dist, parent, heap)
+
+    def _repair_join(self, dist: array, parent: array,
+                     joined: list[tuple[int, int, float]]) -> None:
+        """Propagate the improvements that added or faster links bring."""
+        heap = []
+        for a, b, latency in joined:
+            for near, far in ((a, b), (b, a)):
+                candidate = dist[near] + latency
+                if candidate < dist[far]:
+                    dist[far] = candidate
+                    parent[far] = near
+                    heappush(heap, (candidate, far))
+        self._settle(dist, parent, heap)
+
+    def _settle(self, dist: array, parent: array, heap: list) -> None:
+        """Dijkstra from the labels on ``heap`` over the live adjacency."""
+        adj = self._adj
+        while heap:
+            d, v = heappop(heap)
+            if d > dist[v]:
+                continue
+            for w, latency in adj[v].items():
+                candidate = d + latency
+                if candidate < dist[w]:
+                    dist[w] = candidate
+                    parent[w] = v
+                    # A leaf's one neighbour is v: it has nothing to relax.
+                    if len(adj[w]) > 1:
+                        heappush(heap, (candidate, w))
+
+    def _build_tree(self, root: int) -> tuple[array, array]:
+        trees = self._trees
+        while len(trees) >= _MAX_TREES:
+            del trees[next(iter(trees))]
+        size = len(self._names)
+        dist = array("d", [_INF]) * size
+        parent = array("i", [-1]) * size
+        dist[root] = 0.0
+        self._settle(dist, parent, [(0.0, root)])
+        self.tree_builds += 1
+        return dist, parent
+
+    def _shortest_path(self, source: str, destination: str) -> list[str] | None:
+        """Read a shortest path off the tree rooted at either end.
+
+        A tree rooted at ``destination`` is walked from ``source``; one
+        rooted at ``source`` is walked from ``destination`` and the walk
+        reversed.  With neither, a tree is built at ``destination``.
+        """
+        index = self._index
+        s = index.get(source)
+        d = index.get(destination)
+        if s is None or d is None:
+            return None
+        trees = self._trees
+        root, start = (s, d) if s in trees and d not in trees else (d, s)
+        tree = trees.pop(root, None)
+        if tree is None:
+            tree = self._build_tree(root)
+        trees[root] = tree  # most recently used
+        dist, parent = tree
+        if dist[start] == _INF:
+            return None
+        names = self._names
+        path = [names[start]]
+        v = start
+        while v != root:
+            v = parent[v]
+            path.append(names[v])
+        if root == s:
+            path.reverse()
+        return path
 
     def route(self, source: str, destination: str) -> list[str]:
         """Shortest-latency node path, inclusive of both ends.
@@ -186,12 +357,7 @@ class Network:
         cache = self._route_cache
         path = cache.get(key, False)
         if path is False:
-            try:
-                path = nx.shortest_path(
-                    self._graph, source, destination, weight="weight"
-                )
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                path = None
+            path = self._shortest_path(source, destination)
             if path is not None:
                 path = self._path_intern.setdefault(tuple(path), path)
             cache[key] = path

@@ -26,9 +26,8 @@ import math
 import sys
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Mapping
-
-import networkx as nx
 
 from repro.errors import LinkDownError, NetworkError
 from repro.events import Simulator
@@ -178,8 +177,9 @@ class Partition:
         return self._distances.get((src_region, dst_region), math.inf)
 
     def _build_next_hops(self) -> None:
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.regions))
+        # Region graph: one edge per region pair, the fastest boundary;
+        # neighbours in the order their edge was first declared.
+        adjacency: list[dict[int, Boundary]] = [{} for _ in range(self.regions)]
         best: dict[tuple[int, int], Boundary] = {}
         for boundary in self.boundaries:
             key = (min(boundary.a_region, boundary.b_region),
@@ -188,18 +188,13 @@ class Partition:
             if current is None or boundary.latency < current.latency:
                 best[key] = boundary
         for (a, b), boundary in best.items():
-            graph.add_edge(a, b, weight=boundary.latency, boundary=boundary)
+            adjacency[a][b] = adjacency[b][a] = boundary
         table: dict[tuple[int, int], Boundary] = {}
         distances: dict[tuple[int, int], float] = {}
-        paths = dict(nx.all_pairs_dijkstra_path(graph, weight="weight"))
-        lengths = dict(nx.all_pairs_dijkstra_path_length(
-            graph, weight="weight"))
-        for src, targets in paths.items():
-            for dst, path in targets.items():
-                if src == dst or len(path) < 2:
-                    continue
-                table[(src, dst)] = graph.edges[path[0], path[1]]["boundary"]
-                distances[(src, dst)] = lengths[src][dst]
+        for src in range(self.regions):
+            for dst, (length, first) in _dijkstra(adjacency, src).items():
+                table[(src, dst)] = adjacency[src][first]
+                distances[(src, dst)] = length
         self._next_hop = table
         self._distances = distances
 
@@ -268,6 +263,35 @@ class CompactPartition(Partition):
                     if src != dst and (src, dst) not in (self._next_hop or {}):
                         raise NetworkError(
                             f"region {dst} unreachable from region {src}")
+
+
+def _dijkstra(adjacency: list[dict[int, Boundary]],
+              source: int) -> dict[int, tuple[float, int]]:
+    """Region -> (distance, first region after ``source``) for every
+    other region reachable from ``source``.
+
+    Equal-length routes resolve as a FIFO heap does: a region keeps the
+    route that first reached it, and labels are settled in push order.
+    """
+    settled: dict[int, tuple[float, int]] = {}
+    seen = {source: 0.0}
+    heap = [(0.0, 0, source, source)]
+    pushes = 1
+    while heap:
+        length, _, region, first = heappop(heap)
+        if region in settled:
+            continue
+        settled[region] = (length, first)
+        for neighbour, boundary in adjacency[region].items():
+            candidate = length + boundary.latency
+            if neighbour not in settled and (
+                    neighbour not in seen or candidate < seen[neighbour]):
+                seen[neighbour] = candidate
+                heappush(heap, (candidate, pushes, neighbour,
+                                neighbour if region == source else first))
+                pushes += 1
+    del settled[source]
+    return settled
 
 
 class RegionNetwork(Network):

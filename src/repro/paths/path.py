@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-import networkx as nx
-
 from repro.errors import PathError
 
 
@@ -134,11 +132,14 @@ class PathFamily:
 
 
 class PathPlanner:
-    """Selects the best feasible path via shortest-path search.
+    """Selects the best feasible path by dynamic programming over stages.
 
     Cost per option: ``latency - quality_weight * quality``; the planner
-    builds a stage-layered DAG (edges only between format-compatible
-    options) and runs Dijkstra — polynomial, unlike naive enumeration.
+    walks the stage-layered DAG (edges only between format-compatible
+    options) keeping the cheapest path into each option — polynomial,
+    unlike naive enumeration.  Equal costs go to the path whose options
+    come first in declaration order, the one :meth:`PathFamily.all_paths`
+    lists first.
     """
 
     def __init__(self, family: PathFamily, quality_weight: float = 0.0) -> None:
@@ -156,21 +157,15 @@ class PathPlanner:
         """
         context = context or {}
         self.plan_count += 1
-        graph = nx.DiGraph()
-        graph.add_node("source")
-        graph.add_node("sink")
-        # Cost shift keeps edge weights non-negative for Dijkstra.
-        shift = max(
-            (abs(self._option_cost(o))
-             for stage in self.family.stages
-             for o in self.family.options_for(stage)),
-            default=0.0,
-        )
-        previous_layer: list[ServiceOption | None] = [None]
+        # The cheapest path into each option of the latest stage, as
+        # (cost, option positions, options).
+        best: list[tuple[float, tuple[int, ...], list[ServiceOption]]] = [
+            (0.0, (), [])
+        ]
         for stage in self.family.stages:
             layer = [
-                option
-                for option in self.family.options_for(stage)
+                (position, option)
+                for position, option in enumerate(self.family.options_for(stage))
                 if option.feasible(context)
             ]
             if not layer:
@@ -178,25 +173,20 @@ class PathPlanner:
                     f"no feasible option for stage {stage!r} of family "
                     f"{self.family.name!r} under context {dict(context)}"
                 )
-            for option in layer:
-                graph.add_node(option.name, option=option)
-                for prev in previous_layer:
-                    if prev is None:
-                        graph.add_edge("source", option.name,
-                                       weight=self._option_cost(option) + shift)
-                    elif option.compatible_after(prev):
-                        graph.add_edge(prev.name, option.name,
-                                       weight=self._option_cost(option) + shift)
-            previous_layer = layer
-        for prev in previous_layer:
-            if prev is not None:
-                graph.add_edge(prev.name, "sink", weight=0.0)
-        try:
-            node_path = nx.shortest_path(graph, "source", "sink", weight="weight")
-        except nx.NetworkXNoPath:
+            reached = []
+            for position, option in layer:
+                cost = self._option_cost(option)
+                candidates = [
+                    (total + cost, rank + (position,), chosen + [option])
+                    for total, rank, chosen in best
+                    if not chosen or option.compatible_after(chosen[-1])
+                ]
+                if candidates:
+                    reached.append(min(candidates, key=lambda c: c[:2]))
+            best = reached
+        if not best:
             raise PathError(
                 f"stage options of family {self.family.name!r} are "
                 f"format-incompatible under context {dict(context)}"
-            ) from None
-        options = [graph.nodes[n]["option"] for n in node_path[1:-1]]
-        return CompositionPath(options)
+            )
+        return CompositionPath(min(best, key=lambda c: c[:2])[2])

@@ -7,9 +7,8 @@ forever.  FLO/C rejects such rule sets at parse time; so do we.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import RuleCycleError
+from repro.graph import DiGraph, find_cycle
 from repro.rules.operators import Rule, RuleOperator
 
 _ACTION_OPERATORS = (
@@ -19,7 +18,7 @@ _ACTION_OPERATORS = (
 )
 
 
-def calling_graph(rules: list[Rule]) -> nx.DiGraph:
+def calling_graph(rules: list[Rule]) -> DiGraph:
     """Build the directed trigger→action graph of a rule set.
 
     Nodes are concrete ``component.operation`` strings; wildcard triggers
@@ -27,7 +26,7 @@ def calling_graph(rules: list[Rule]) -> nx.DiGraph:
     over-approximation: a wildcard trigger node is linked from every
     action that matches it).
     """
-    graph = nx.DiGraph()
+    graph = DiGraph()
     action_rules = [r for r in rules if r.operator in _ACTION_OPERATORS]
     for rule in action_rules:
         assert rule.action is not None
@@ -54,9 +53,8 @@ def calling_graph(rules: list[Rule]) -> nx.DiGraph:
 def check_acyclic(rules: list[Rule]) -> None:
     """Raise :class:`RuleCycleError` when the calling tree has a cycle."""
     graph = calling_graph(rules)
-    try:
-        cycle = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
+    cycle = find_cycle(graph)
+    if cycle is None:
         return
     path = " -> ".join(edge[0] for edge in cycle) + f" -> {cycle[0][0]}"
     raise RuleCycleError(

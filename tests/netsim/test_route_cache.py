@@ -2,15 +2,16 @@
 
 Covers the shortest-path cache introduced with the kernel fast-path work:
 repeated sends between the same pair must not recompute Dijkstra, while
-any topology or link-state change must invalidate every cached path —
-including cached negative (no-route) results.
+after any topology or link-state change the network must never serve a
+stale path — including a cached negative (no-route) result.
 """
 
 import pytest
 
 from repro.errors import LinkDownError, NetworkError
 from repro.events import Simulator
-from repro.netsim import Message, Network
+from repro.netsim import Message, Network, datacenter, hosts, star
+from repro.netsim.network import _MAX_TREES
 
 
 def triangle():
@@ -104,6 +105,83 @@ class TestInvalidation:
         net.link_between("a", "c").restore()
         net.invalidate_routes()
         assert net.route("a", "b") == ["a", "c", "b"]
+
+    def test_latency_change_reroutes_without_explicit_invalidate(self):
+        # The detour a-c-b (2 ms) beats the direct link (10 ms) until
+        # a-c slows to 1 s: the latency change alone must reroute.
+        net = triangle()
+        assert net.route("a", "b") == ["a", "c", "b"]
+        net.link_between("a", "c").set_quality(latency=1.0)
+        assert net.route("a", "b") == ["a", "b"]
+        assert net.route("b", "a") == ["b", "a"]
+        net.link_between("a", "c").set_quality(latency=0.001)
+        assert net.route("a", "b") == ["a", "c", "b"]
+
+    def test_removed_link_no_longer_invalidates(self):
+        net = triangle()
+        link = net.remove_link("a", "c")
+        assert net.route("a", "b") == ["a", "b"]
+        link.set_quality(latency=0.0)
+        assert not net._graph_dirty
+
+
+class TestTreeRepair:
+    """Routes are read off per-root shortest-path trees that a topology
+    change repairs in place; these count builds, not time."""
+
+    def test_host_uplink_flap_repairs_without_rebuilding(self):
+        net = datacenter(Simulator(), racks=4, hosts_per_rack=4)
+        names = hosts(net)
+        pairs = [(a, b) for a in names[:4] for b in names[4::3]]
+        before = {pair: net.route(*pair) for pair in pairs}
+        builds = net.tree_builds
+        assert 0 < builds <= len(pairs)
+
+        flapped = net.link_between("rack0", "rack0-host1")
+        flapped.fail()
+        net.invalidate_routes()
+        for a, b in pairs:
+            if "rack0-host1" in (a, b):
+                with pytest.raises(NetworkError):
+                    net.route(a, b)
+            else:
+                assert net.route(a, b) == before[(a, b)]
+        flapped.restore()
+        net.invalidate_routes()
+        assert {pair: net.route(*pair) for pair in pairs} == before
+        assert net.tree_builds == builds
+
+    def test_reverse_query_reads_the_same_tree(self):
+        net = datacenter(Simulator(), racks=2, hosts_per_rack=2)
+        forward = net.route("rack0-host0", "rack1-host1")
+        assert net.tree_builds == 1
+        assert net.route("rack1-host1", "rack0-host0") == forward[::-1]
+        assert net.tree_builds == 1
+
+    def test_node_added_after_trees_joins_them(self):
+        net = triangle()
+        assert net.route("a", "b") == ["a", "c", "b"]  # tree rooted at b
+        net.add_node("d")
+        net.add_link("c", "d", latency=0.001)
+        assert net.route("d", "b") == ["d", "c", "b"]
+        assert net.tree_builds == 1
+
+    def test_least_recently_used_trees_are_evicted(self):
+        net = star(Simulator(), leaves=_MAX_TREES + 8)
+        leaves = [name for name in net.nodes if name != "hub"]
+        for leaf in leaves:
+            net.route("hub", leaf)
+        assert len(net._trees) == _MAX_TREES
+        assert net.tree_builds == len(leaves)
+        # Trees of leaves[8:] are kept, oldest first.  Reading the
+        # oldest makes it the most recent, so the next build evicts
+        # leaves[9]'s tree instead.
+        net.route(leaves[8], "hub")
+        net.route(leaves[0], leaves[1])
+        net.route(leaves[10], "hub")
+        assert net.tree_builds == len(leaves) + 1
+        net.route(leaves[9], "hub")
+        assert net.tree_builds == len(leaves) + 2
 
 
 class TestDeliveryAfterTopologyChange:
