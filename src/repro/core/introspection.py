@@ -11,8 +11,7 @@ bindings, the registry and the network, normalises everything into
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from repro.events import Simulator
 from repro.kernel.binding import Binding
@@ -21,15 +20,22 @@ from repro.kernel.registry import Registry
 from repro.netsim.network import Network
 
 
-@dataclass(frozen=True)
-class ObservationEvent:
-    """One normalised introspection record."""
+class ObservationEvent(NamedTuple):
+    """One normalised introspection record (an immutable tuple)."""
 
     time: float
     source: str       # e.g. "port:server.svc", "connector:rpc", "network"
     kind: str         # e.g. "call", "error", "register", "drop:loss"
     operation: str = ""
     details: tuple = ()
+
+
+#: ``ObservationEvent(...)`` minus the generated ``__new__``'s Python
+#: frame: :meth:`IntrospectionHub.emit` always passes every field.
+_new_event = tuple.__new__
+
+#: Port and connector observer phase → observation kind.
+_PHASE_KIND = {"before": "call", "after": "return", "error": "error"}
 
 
 class IntrospectionHub:
@@ -39,19 +45,23 @@ class IntrospectionHub:
         self.sim = sim
         self.events: deque[ObservationEvent] = deque(maxlen=buffer_size)
         self.counts: Counter[str] = Counter()
-        self.subscribers: list[Callable[[ObservationEvent], None]] = []
+        #: Replaced, never mutated, by :meth:`subscribe`: a fan-out in
+        #: progress keeps the subscribers it started with.
+        self.subscribers: tuple[Callable[[ObservationEvent], None], ...] = ()
         self._tapped: set[int] = set()
 
     def emit(self, source: str, kind: str, operation: str = "",
              details: tuple = ()) -> None:
-        event = ObservationEvent(self.sim.now, source, kind, operation, details)
+        event = _new_event(ObservationEvent,
+                           (self.sim.now, source, kind, operation, details))
         self.events.append(event)
         self.counts[kind] += 1
-        for subscriber in list(self.subscribers):
-            subscriber(event)
+        if self.subscribers:
+            for subscriber in self.subscribers:
+                subscriber(event)
 
     def subscribe(self, subscriber: Callable[[ObservationEvent], None]) -> None:
-        self.subscribers.append(subscriber)
+        self.subscribers += (subscriber,)
 
     # -- taps -----------------------------------------------------------------
 
@@ -63,8 +73,7 @@ class IntrospectionHub:
         source = f"port:{port.qualified_name}"
 
         def observer(phase: str, invocation: Invocation, payload: Any) -> None:
-            kind = {"before": "call", "after": "return", "error": "error"}[phase]
-            self.emit(source, kind, invocation.operation)
+            self.emit(source, _PHASE_KIND[phase], invocation.operation)
 
         port.observers.append(observer)
 
@@ -85,8 +94,8 @@ class IntrospectionHub:
 
         def observer(phase: str, role: str, invocation: Invocation,
                      payload: Any) -> None:
-            kind = {"before": "call", "after": "return", "error": "error"}[phase]
-            self.emit(source, kind, invocation.operation, details=(role,))
+            self.emit(source, _PHASE_KIND[phase], invocation.operation,
+                      details=(role,))
 
         connector.observers.append(observer)
 

@@ -3,7 +3,7 @@
 The repository abstraction (:class:`Store` with in-memory and sqlite
 backends), the write-ahead change log reconfiguration transactions
 journal into, deterministic configuration checksums, crash recovery by
-log replay, and the durable RAML audit sink.  See docs/DESIGN.md for
+log replay, and the durable RAML audit sink.  See DESIGN.md §11 for
 the WAL format and the roll-forward/roll-back decision rule.
 """
 

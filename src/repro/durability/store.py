@@ -30,22 +30,27 @@ from typing import Any, Iterable, Protocol, runtime_checkable
 from repro.errors import StoreError
 
 
-def canonical_json(record: dict[str, Any]) -> str:
-    """Serialize a record deterministically (sorted keys, no whitespace
-    drift) — the byte form checksums and audit diffs rely on."""
-    try:
-        return json.dumps(record, sort_keys=True, separators=(",", ":"),
-                          default=_fallback)
-    except (TypeError, ValueError) as exc:
-        raise StoreError(f"record is not serializable: {exc}") from exc
-
-
 def _fallback(value: Any) -> Any:
     if isinstance(value, (set, frozenset)):
         return sorted(str(v) for v in value)
     if isinstance(value, tuple):
         return list(value)
     return str(value)
+
+
+#: Shared by every call: ``json.dumps`` with non-default options builds
+#: a fresh encoder each time.  Encoding keeps no state between calls.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            default=_fallback)
+
+
+def canonical_json(record: Any) -> str:
+    """Serialize a record deterministically (sorted keys, no whitespace
+    drift) — the byte form checksums and audit diffs rely on."""
+    try:
+        return _ENCODER.encode(record)
+    except (TypeError, ValueError) as exc:
+        raise StoreError(f"record is not serializable: {exc}") from exc
 
 
 @runtime_checkable

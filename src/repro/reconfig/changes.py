@@ -400,7 +400,17 @@ class ReplaceComponent(Change):
                            journal=self.snapshot_journal)
             if self.new_component.lifecycle.state is LifecycleState.CREATED:
                 self.new_component.initialize()
-        assembly.deploy(self.new_component, node_name, self.descriptor)
+        same_name = self.new_component.name == self.old_name
+        if same_name:
+            # The successor takes over the name: from here on the
+            # registry must resolve it to the successor.
+            assembly.registry.unregister(self.old_name)
+        try:
+            assembly.deploy(self.new_component, node_name, self.descriptor)
+        except Exception:
+            if same_name:
+                assembly.registry.register(old)
+            raise
         for binding in assembly.bindings_to(self.old_name):
             old_target = binding.target
             port_name = getattr(old_target, "name")
@@ -425,14 +435,23 @@ class ReplaceComponent(Change):
         self._reattached.clear()
         if self.new_component.name in assembly.registry:
             assembly.undeploy(self.new_component.name)
-        if self._old is not None and self._old.lifecycle.is_quiescent:
-            self._old.lifecycle.transition(LifecycleState.ACTIVE)
+        old = self._old
+        if old is not None:
+            if old.name not in assembly.registry:
+                assembly.registry.register(old)
+            if old.lifecycle.is_quiescent:
+                old.lifecycle.transition(LifecycleState.ACTIVE)
         self._old = None
 
     def commit(self, assembly: Assembly) -> None:
-        """Finalise: undeploy and stop the predecessor."""
-        if self._old is not None and self._old.name in assembly.registry:
-            assembly.undeploy(self._old.name)
+        """Finalise: undeploy and stop the predecessor — by object, not
+        by name, which a same-name successor now holds."""
+        old = self._old
+        if old is None or old.node_name is None:
+            return
+        container = assembly.containers.get(old.node_name)
+        if container is not None and container.components.get(old.name) is old:
+            container.undeploy(old.name)
 
 
 class ReplaceImplementation(Change):
