@@ -56,9 +56,8 @@ class IntrospectionHub:
                            (self.sim.now, source, kind, operation, details))
         self.events.append(event)
         self.counts[kind] += 1
-        if self.subscribers:
-            for subscriber in self.subscribers:
-                subscriber(event)
+        for subscriber in self.subscribers:
+            subscriber(event)
 
     def subscribe(self, subscriber: Callable[[ObservationEvent], None]) -> None:
         self.subscribers += (subscriber,)

@@ -163,20 +163,16 @@ def _fingerprint(component: Component) -> tuple | None:
             tuple(component.provided), required, state)
 
 
-def _leaf(component: Component, flat: bool, memo: dict[str, str]) -> bytes:
-    if flat:
-        state = {}
-        for key, value in component.state.items():
-            if type(value) is str:
-                digest = memo.get(value)
-                if digest is None:
-                    digest = memo[value] = _digest(value)
-            else:
-                digest = _digest(value)
-            state[key] = digest
-    else:
-        canon = _canon(component.state, component.name)
-        state = {key: _digest(value) for key, value in canon.items()}
+def _leaf(component: Component, memo: dict[str, str]) -> bytes:
+    state = {}
+    for key, value in _canon(component.state, component.name).items():
+        if type(value) is str:
+            digest = memo.get(value)
+            if digest is None:
+                digest = memo[value] = _digest(value)
+        else:
+            digest = _digest(value)
+        state[key] = digest
     entry = canonical_json(_entry(component, state))
     return hashlib.sha256(entry.encode("utf-8")).digest()
 
@@ -198,7 +194,7 @@ def assembly_checksum(assembly: Assembly) -> str:
                 and cached[0] == fingerprint):
             leaf = cached[1]
         else:
-            leaf = _leaf(component, fingerprint is not None, memo)
+            leaf = _leaf(component, memo)
             cache.hashed += 1
         leaves[component.name] = (fingerprint, leaf)
         root.update(leaf)

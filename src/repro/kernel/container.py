@@ -130,7 +130,8 @@ class Container:
                 component.stop()
             except LifecycleError:
                 pass
-        self._unregister(component)
+        if self.registry is not None and name in self.registry:
+            self.registry.unregister(name)
         self._audit("undeploy", name)
         return component
 
@@ -153,17 +154,10 @@ class Container:
             except Exception:  # noqa: BLE001
                 pass
         component.node_name = None
-        self._unregister(component)
+        if self.registry is not None and name in self.registry:
+            self.registry.unregister(name)
         self._audit("detach", name)
         return component, descriptor
-
-    def _unregister(self, component: Component) -> None:
-        """Drop ``component``'s registration — only its own: during a
-        same-name replacement the name already resolves to the successor."""
-        registry = self.registry
-        if (registry is not None and component.name in registry
-                and registry.lookup(component.name) is component):
-            registry.unregister(component.name)
 
     def hosts(self, name: str) -> bool:
         return name in self.components

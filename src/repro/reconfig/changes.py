@@ -329,8 +329,13 @@ class ReplaceComponent(Change):
     def validate(self, assembly: Assembly) -> None:
         if self.old_name not in assembly.registry:
             raise ConsistencyError(f"component {self.old_name!r} does not exist")
-        if (self.new_component.name != self.old_name
-                and self.new_component.name in assembly.registry):
+        if self.new_component.name == self.old_name:
+            # Predecessor and successor coexist until commit, and the
+            # registry holds one component per name.
+            raise ConsistencyError(
+                f"replacement of {self.old_name!r} needs a new name"
+            )
+        if self.new_component.name in assembly.registry:
             raise ConsistencyError(
                 f"replacement name {self.new_component.name!r} is taken"
             )
@@ -400,17 +405,7 @@ class ReplaceComponent(Change):
                            journal=self.snapshot_journal)
             if self.new_component.lifecycle.state is LifecycleState.CREATED:
                 self.new_component.initialize()
-        same_name = self.new_component.name == self.old_name
-        if same_name:
-            # The successor takes over the name: from here on the
-            # registry must resolve it to the successor.
-            assembly.registry.unregister(self.old_name)
-        try:
-            assembly.deploy(self.new_component, node_name, self.descriptor)
-        except Exception:
-            if same_name:
-                assembly.registry.register(old)
-            raise
+        assembly.deploy(self.new_component, node_name, self.descriptor)
         for binding in assembly.bindings_to(self.old_name):
             old_target = binding.target
             port_name = getattr(old_target, "name")
@@ -435,23 +430,14 @@ class ReplaceComponent(Change):
         self._reattached.clear()
         if self.new_component.name in assembly.registry:
             assembly.undeploy(self.new_component.name)
-        old = self._old
-        if old is not None:
-            if old.name not in assembly.registry:
-                assembly.registry.register(old)
-            if old.lifecycle.is_quiescent:
-                old.lifecycle.transition(LifecycleState.ACTIVE)
+        if self._old is not None and self._old.lifecycle.is_quiescent:
+            self._old.lifecycle.transition(LifecycleState.ACTIVE)
         self._old = None
 
     def commit(self, assembly: Assembly) -> None:
-        """Finalise: undeploy and stop the predecessor — by object, not
-        by name, which a same-name successor now holds."""
-        old = self._old
-        if old is None or old.node_name is None:
-            return
-        container = assembly.containers.get(old.node_name)
-        if container is not None and container.components.get(old.name) is old:
-            container.undeploy(old.name)
+        """Finalise: undeploy and stop the predecessor."""
+        if self._old is not None and self._old.name in assembly.registry:
+            assembly.undeploy(self._old.name)
 
 
 class ReplaceImplementation(Change):
